@@ -7,22 +7,23 @@
 //! Both are faithful *mechanism* models — they pay their costs through the
 //! same machine model as SGXBounds, so the comparative results (Figs. 1,
 //! 7–13; Tables 3–4) emerge from behaviour, not curve fitting.
+//!
+//! [`protection`] is the one pipeline that runs a module under any of the
+//! schemes, SGXBounds included.
 
 pub mod asan;
 pub mod mpx;
+pub mod protection;
 
 pub use asan::{install_asan, instrument_asan, instrument_asan_with, AsanConfig, AsanRuntime};
 pub use mpx::{install_mpx, instrument_mpx, instrument_mpx_with, MpxConfig, MpxRuntime};
+pub use protection::{recorded, Protected, Protection, Setup};
 
 #[cfg(test)]
 mod e2e {
     use super::*;
-    use crate::asan::runtime::asan_alloc_opts;
-    use sgxs_mir::{verify, Module, ModuleBuilder, Operand, RunOutcome, Trap, Ty, Vm, VmConfig};
-    use sgxs_rt::{install_base, AllocOpts};
-    use sgxs_sim::{MachineConfig, Mode, Preset};
-
-    const SCALE: u64 = 128; // Tiny preset scale.
+    use sgxs_mir::{Module, ModuleBuilder, Operand, RunOutcome, Trap, Ty};
+    use sgxs_sim::ExecTier;
 
     fn heap_writer() -> Module {
         let mut mb = ModuleBuilder::new("t");
@@ -40,30 +41,23 @@ mod e2e {
         mb.finish()
     }
 
+    fn setup() -> Setup {
+        Setup::tiny(ExecTier::Reference)
+    }
+
     fn run_asan(module: &mut Module, args: &[u64]) -> RunOutcome {
-        instrument_asan(module).expect("asan instrumentation");
-        verify(module).expect("asan IR verifies");
-        let mut vm = Vm::new(
-            module,
-            VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-        );
-        let cfg = AsanConfig::for_scale(SCALE);
-        let heap = install_base(&mut vm, asan_alloc_opts(&cfg, u32::MAX as u64));
-        install_asan(&mut vm, heap, &cfg);
-        vm.run("main", args)
+        let mut run = Protection::Asan.launch(module, setup()).expect("asan");
+        run.vm.run("main", args)
+    }
+
+    fn run_mpx_with(module: &mut Module, setup: Setup, args: &[u64]) -> (RunOutcome, MpxRuntime) {
+        let mut run = Protection::Mpx.launch(module, setup).expect("mpx");
+        let out = run.vm.run("main", args);
+        (out, run.mpx.expect("mpx runtime"))
     }
 
     fn run_mpx(module: &mut Module, args: &[u64]) -> (RunOutcome, MpxRuntime) {
-        instrument_mpx(module).expect("mpx instrumentation");
-        verify(module).expect("mpx IR verifies");
-        let mut vm = Vm::new(
-            module,
-            VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-        );
-        let heap = install_base(&mut vm, AllocOpts::default());
-        let rt = install_mpx(&mut vm, heap, MpxConfig::for_scale(SCALE));
-        let out = vm.run("main", args);
-        (out, rt)
+        run_mpx_with(module, setup(), args)
     }
 
     // ---- ASan -------------------------------------------------------------
@@ -150,17 +144,12 @@ mod e2e {
 
     #[test]
     fn asan_reserves_shadow_memory() {
-        let mut m = heap_writer();
-        instrument_asan(&mut m).unwrap();
-        let mut vm = Vm::new(
-            &m,
-            VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-        );
-        let cfg = AsanConfig::for_scale(SCALE);
-        let before = vm.machine.mem.reserved();
-        let heap = install_base(&mut vm, asan_alloc_opts(&cfg, u32::MAX as u64));
-        install_asan(&mut vm, heap, &cfg);
-        assert!(vm.machine.mem.reserved() - before >= cfg.shadow_reserve);
+        let reserved = |p: Protection| {
+            let mut m = heap_writer();
+            p.launch(&mut m, setup()).unwrap().vm.machine.mem.reserved()
+        };
+        let cfg = AsanConfig::for_scale(128);
+        assert!(reserved(Protection::Asan) - reserved(Protection::None) >= cfg.shadow_reserve);
     }
 
     #[test]
@@ -282,20 +271,11 @@ mod e2e {
             fb.ret(Some(0u64.into()));
         });
         let mut m = mb.finish();
-        instrument_mpx(&mut m).unwrap();
-        let mut vm = Vm::new(
-            &m,
-            VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-        );
-        let heap = install_base(
-            &mut vm,
-            AllocOpts {
-                reserve_cap: 1 << 20, // 1 MB "enclave".
-                ..Default::default()
-            },
-        );
-        install_mpx(&mut vm, heap, MpxConfig::for_scale(128));
-        let out = vm.run("main", &[]);
+        let setup = Setup {
+            reserve_cap: 1 << 20, // 1 MB "enclave".
+            ..setup()
+        };
+        let (out, _) = run_mpx_with(&mut m, setup, &[]);
         assert!(
             matches!(out.result, Err(Trap::OutOfMemory { .. })),
             "expected OOM, got {:?}",
@@ -344,15 +324,9 @@ mod e2e {
             fb.ret(Some(0u64.into()));
         });
         let mut m = mb.finish();
-        instrument_mpx(&mut m).unwrap();
-        let mut vm = Vm::new(&m, {
-            let mut c = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-            c.quantum = 3; // Fine interleaving to expose the race.
-            c
-        });
-        let heap = install_base(&mut vm, AllocOpts::default());
-        let rt = install_mpx(&mut vm, heap, MpxConfig::for_scale(128));
-        let out = vm.run("main", &[]);
+        let mut setup = setup();
+        setup.vm.quantum = 3; // Fine interleaving to expose the race.
+        let (out, rt) = run_mpx_with(&mut m, setup, &[]);
         out.expect_ok();
         let st = rt.tables.borrow().stats;
         assert!(

@@ -51,28 +51,8 @@ fn bench(c: &mut Criterion) {
     // LB-load cost: optimizations off (full checks incl. LB load) vs
     // hoisting on (LB checks gone from hot loops).
     for (label, cfg) in [
-        (
-            "full_checks",
-            SbConfig {
-                safe_access_opt: false,
-                hoist_opt: false,
-                boundless: false,
-                narrow_bounds: false,
-                site_markers: false,
-                flow_elide: false,
-            },
-        ),
-        (
-            "hoisted",
-            SbConfig {
-                safe_access_opt: true,
-                hoist_opt: true,
-                boundless: false,
-                narrow_bounds: false,
-                site_markers: false,
-                flow_elide: false,
-            },
-        ),
+        ("full_checks", SbConfig::UNOPTIMIZED),
+        ("hoisted", SbConfig::default()),
     ] {
         g.bench_function(format!("linear_regression/{label}"), |b| {
             let w = sgxs_workloads::by_name("linear_regression").unwrap();

@@ -31,10 +31,11 @@ pub mod shrink;
 
 use inject::{FaultKind, ALL_KINDS};
 use runner::{
-    classify, exec_chaos_tier_budget, exec_forensic, exec_tier, exec_tier_budget, is_budget_trap,
-    is_oom_trap, verdict_ok, FScheme, Verdict, ALL_SCHEMES, DEFAULT_BUDGET,
+    classify, exec_tier_budget, exec_with, is_budget_trap, is_oom_trap, verdict_ok, ExecOpts,
+    FScheme, Verdict, ALL_SCHEMES, DEFAULT_BUDGET,
 };
-use sgxs_audit::{Incident, IncidentMeta, ReproInfo, TruthInfo};
+use sgxs_audit::{Incident, IncidentMeta, LedgerRecorder, ReproInfo, TruthInfo};
+use sgxs_baselines::recorded;
 use sgxs_sim::obs::json::Json;
 use sgxs_sim::ExecTier;
 use sgxs_super::{
@@ -202,6 +203,27 @@ pub struct Disagreement {
     pub incident: Incident,
 }
 
+/// Forensic re-run of a (dis)agreeing execution: a [`LedgerRecorder`]
+/// (object provenance ledger + fault capture + trace ring of `ring_cap`
+/// events) with span mode on, on `tier`. Observability is
+/// zero-perturbation, so the returned [`runner::Exec`] is bit-identical to
+/// the plain run — `tests/incident_forensics.rs` pins it.
+fn forensic_exec(
+    prog: &gen::Prog,
+    scheme: FScheme,
+    tier: ExecTier,
+    ring_cap: usize,
+) -> (runner::Exec, LedgerRecorder) {
+    recorded(LedgerRecorder::new(ring_cap), |rec| {
+        let opts = ExecOpts {
+            recorder: Some(rec),
+            spans: true,
+            ..ExecOpts::on(tier)
+        };
+        exec_with(prog, scheme, &opts)
+    })
+}
+
 /// Assembles the forensic incident for one disagreement: re-runs the
 /// failing execution with a [`sgxs_audit::LedgerRecorder`] attached (on
 /// the campaign's tier), then joins in the injector ground truth, the
@@ -215,7 +237,7 @@ fn forensic_incident(
     repro: Option<&shrink::Repro>,
     opts: &FuzzOpts,
 ) -> Incident {
-    let (_, rec) = exec_forensic(prog, scheme, opts.tier, opts.trace_window);
+    let (_, rec) = forensic_exec(prog, scheme, opts.tier, opts.trace_window);
     let meta = IncidentMeta {
         origin: "fuzz".into(),
         workload: format!("seed-{seed}"),
@@ -993,7 +1015,12 @@ pub fn run_chaos_seed(
         .wrapping_mul(0xD6E8_FEB8_6659_FD93)
         .wrapping_add(attempt as u64);
     for scheme in ALL_SCHEMES {
-        let e = exec_chaos_tier_budget(&prog, scheme, chaos_seed, opts.tier, budget);
+        let chaos = ExecOpts {
+            budget,
+            chaos_seed: Some(chaos_seed),
+            ..ExecOpts::on(opts.tier)
+        };
+        let e = exec_with(&prog, scheme, &chaos);
         if is_budget_trap(&e) {
             return Err(over);
         }
@@ -1197,7 +1224,8 @@ impl CorpusEntry {
                 (fprog, Some(fault))
             }
         };
-        let native_digest = exec_tier(&prog, FScheme::Native, tier)
+        let on_tier = ExecOpts::on(tier);
+        let native_digest = exec_with(&prog, FScheme::Native, &on_tier)
             .result
             .unwrap_or_default();
         let mut bad = Vec::new();
@@ -1205,7 +1233,7 @@ impl CorpusEntry {
             let v = classify(
                 fault.as_ref(),
                 native_digest,
-                &exec_tier(&prog, scheme, tier),
+                &exec_with(&prog, scheme, &on_tier),
             );
             if !verdict_ok(scheme, self.kind, &v) {
                 bad.push((scheme, v));
@@ -1235,7 +1263,8 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::exec_traced;
+    use crate::runner::exec;
+    use sgxs_sim::obs::TraceRecorder;
 
     #[test]
     fn corpus_lines_round_trip() {
@@ -1265,8 +1294,18 @@ mod tests {
         let prog = gen::generate(42, 12);
         let (fprog, _fault) = inject::inject(&prog, FaultKind::HeapOverflow, 42);
         for scheme in [FScheme::SgxBounds, FScheme::Asan, FScheme::Mpx] {
-            let plain = exec_tier(&fprog, scheme, ExecTier::default());
-            let (traced, events) = exec_traced(&fprog, scheme, 32);
+            let plain = exec(&fprog, scheme);
+            let traced_exec = || {
+                let (e, rec) = recorded(TraceRecorder::new(32), |rec| {
+                    let opts = ExecOpts {
+                        recorder: Some(rec),
+                        ..ExecOpts::default()
+                    };
+                    exec_with(&fprog, scheme, &opts)
+                });
+                (e, rec.last_events(32))
+            };
+            let (traced, events) = traced_exec();
             assert_eq!(
                 format!("{:?}", plain.result),
                 format!("{:?}", traced.result),
@@ -1276,21 +1315,21 @@ mod tests {
             assert_eq!(plain.beacon, traced.beacon, "{}", scheme.label());
             assert_eq!(plain.violations, traced.violations, "{}", scheme.label());
             assert!(!events.is_empty(), "{}: no events traced", scheme.label());
-            let (_, again) = exec_traced(&fprog, scheme, 32);
+            let (_, again) = traced_exec();
             assert_eq!(events, again, "{}: trace not deterministic", scheme.label());
         }
     }
 
     #[test]
     fn forensic_rerun_is_zero_perturbation_and_incidents_are_deterministic() {
-        // exec_forensic carries a full ledger recorder and span mode, yet
+        // forensic_exec carries a full ledger recorder and span mode, yet
         // must reproduce the plain run's observables exactly — otherwise the
         // incident describes a different execution than the one that failed.
         let prog = gen::generate(42, 12);
         let (fprog, fault) = inject::inject(&prog, FaultKind::HeapOverflow, 42);
         for scheme in [FScheme::SgxBounds, FScheme::Asan] {
-            let plain = exec_tier(&fprog, scheme, ExecTier::default());
-            let (forensic, rec) = exec_forensic(&fprog, scheme, ExecTier::default(), 32);
+            let plain = exec(&fprog, scheme);
+            let (forensic, rec) = forensic_exec(&fprog, scheme, ExecTier::default(), 32);
             assert_eq!(
                 format!("{:?}", plain.result),
                 format!("{:?}", forensic.result),

@@ -5,15 +5,11 @@
 use crate::gen::{self, Prog};
 use crate::inject::{Fault, FaultKind};
 use sgxbounds::SbConfig;
-use sgxs_audit::LedgerRecorder;
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan_with, instrument_mpx_with, AsanConfig, MpxConfig,
-};
-use sgxs_mir::{verify, GlobalId, PolicySet, RecoveryPolicy, Trap, TrapClass, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocFaultPlan, AllocOpts};
-use sgxs_sim::obs::{Recorder, TraceRecorder};
-use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
+use sgxs_baselines::{Protection, Setup};
+use sgxs_mir::{GlobalId, PolicySet, RecoveryPolicy, Trap, TrapClass};
+use sgxs_rt::AllocFaultPlan;
+use sgxs_sim::obs::Recorder;
+use sgxs_sim::ExecTier;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -66,30 +62,27 @@ impl FScheme {
         }
     }
 
-    fn sb_config(&self) -> Option<SbConfig> {
+    /// The pipeline scheme this column runs under.
+    pub fn protection(&self) -> Protection {
+        let sb = Protection::SgxBounds;
         match self {
-            FScheme::SgxBounds => Some(SbConfig::default()),
-            FScheme::SgxBoundsNoOpt => Some(SbConfig {
-                safe_access_opt: false,
-                hoist_opt: false,
-                boundless: false,
-                narrow_bounds: false,
-                site_markers: false,
-                flow_elide: false,
-            }),
-            FScheme::SgxBoundsFlow => Some(SbConfig {
+            FScheme::Native => Protection::None,
+            FScheme::SgxBounds => sb(SbConfig::default()),
+            FScheme::SgxBoundsNoOpt => sb(SbConfig::UNOPTIMIZED),
+            FScheme::SgxBoundsFlow => sb(SbConfig {
                 flow_elide: true,
                 ..SbConfig::default()
             }),
-            FScheme::SgxBoundsNarrow => Some(SbConfig {
+            FScheme::SgxBoundsNarrow => sb(SbConfig {
                 narrow_bounds: true,
                 ..SbConfig::default()
             }),
-            FScheme::SgxBoundsBoundless => Some(SbConfig {
+            FScheme::SgxBoundsBoundless => sb(SbConfig {
                 boundless: true,
                 ..SbConfig::default()
             }),
-            _ => None,
+            FScheme::Asan => Protection::Asan,
+            FScheme::Mpx => Protection::Mpx,
         }
     }
 }
@@ -115,74 +108,74 @@ pub struct Exec {
 /// seed as a `budget` failure.
 pub const DEFAULT_BUDGET: u64 = 4_000_000;
 
-/// Builds, instruments, and runs `prog` under `scheme`.
+/// Per-execution options beyond the program and the scheme.
+#[derive(Clone)]
+pub struct ExecOpts {
+    /// Execution tier. The compiled tier must reproduce the reference
+    /// digest, beacon, violation count, and retry count bit-for-bit —
+    /// `tests/tier_equivalence.rs` enforces this corpus-wide.
+    pub tier: ExecTier,
+    /// Instruction budget — the campaign watchdog knob (`repro fuzz
+    /// --budget N`). It is enforced in interpreter instructions, never
+    /// wall-clock, so the resulting trap (and every artifact derived from
+    /// it) is bit-reproducible on any host.
+    pub budget: u64,
+    /// Environmental chaos: a fault plan seeded with this value makes the
+    /// allocator fail intermittently, and the interpreter retries the
+    /// injected OOMs with backoff. A correct scheme must still reproduce
+    /// the clean native digest bit-for-bit.
+    pub chaos_seed: Option<u64>,
+    /// Observability recorder; attaching one also turns site markers on.
+    /// Observability is zero-perturbation, so the [`Exec`] is bit-identical
+    /// to the plain run's.
+    pub recorder: Option<Rc<RefCell<dyn Recorder>>>,
+    /// Span mode (forensic re-runs).
+    pub spans: bool,
+}
+
+impl Default for ExecOpts {
+    fn default() -> Self {
+        ExecOpts::on(ExecTier::default())
+    }
+}
+
+impl ExecOpts {
+    /// Plain options on `tier`: default budget, no chaos, no recorder.
+    pub fn on(tier: ExecTier) -> Self {
+        ExecOpts {
+            tier,
+            budget: DEFAULT_BUDGET,
+            chaos_seed: None,
+            recorder: None,
+            spans: false,
+        }
+    }
+}
+
+/// Builds, instruments, and runs `prog` under `scheme` with default
+/// options.
 pub fn exec(prog: &Prog, scheme: FScheme) -> Exec {
-    exec_inner(
-        prog,
-        scheme,
-        None,
-        None,
-        ExecTier::default(),
-        false,
-        DEFAULT_BUDGET,
-    )
+    exec_with(prog, scheme, &ExecOpts::default())
 }
 
-/// Like [`exec`] but on an explicit execution tier. The compiled tier must
-/// reproduce the reference digest, beacon, violation count, and retry count
-/// bit-for-bit — `tests/tier_equivalence.rs` enforces this corpus-wide.
-pub fn exec_tier(prog: &Prog, scheme: FScheme, tier: ExecTier) -> Exec {
-    exec_inner(prog, scheme, None, None, tier, false, DEFAULT_BUDGET)
-}
-
-/// Like [`exec_tier`] with an explicit instruction budget — the campaign
-/// watchdog knob (`repro fuzz --budget N`). The budget is enforced in
-/// interpreter instructions, never wall-clock, so the resulting trap (and
-/// every artifact derived from it) is bit-reproducible on any host.
+/// Like [`exec`] on an explicit tier and instruction budget — the
+/// campaign's hot path.
 pub fn exec_tier_budget(prog: &Prog, scheme: FScheme, tier: ExecTier, budget: u64) -> Exec {
-    exec_inner(prog, scheme, None, None, tier, false, budget)
-}
-
-/// Like [`exec`] but under environmental chaos: a fault plan seeded with
-/// `chaos_seed` makes the allocator fail intermittently, and the
-/// interpreter retries the injected OOMs with backoff. A correct scheme
-/// must still reproduce the clean native digest bit-for-bit — any
-/// divergence means a transient allocation failure corrupted results.
-pub fn exec_chaos(prog: &Prog, scheme: FScheme, chaos_seed: u64) -> Exec {
-    exec_inner(
+    exec_with(
         prog,
         scheme,
-        None,
-        Some(chaos_seed),
-        ExecTier::default(),
-        false,
-        DEFAULT_BUDGET,
+        &ExecOpts {
+            budget,
+            ..ExecOpts::on(tier)
+        },
     )
 }
 
-/// Like [`exec_chaos`] but on an explicit execution tier (the recovery
-/// machinery — retry accounting included — must be tier-invariant).
-pub fn exec_chaos_tier(prog: &Prog, scheme: FScheme, chaos_seed: u64, tier: ExecTier) -> Exec {
-    exec_inner(
-        prog,
-        scheme,
-        None,
-        Some(chaos_seed),
-        tier,
-        false,
-        DEFAULT_BUDGET,
-    )
-}
-
-/// Like [`exec_chaos_tier`] with an explicit instruction budget.
-pub fn exec_chaos_tier_budget(
-    prog: &Prog,
-    scheme: FScheme,
-    chaos_seed: u64,
-    tier: ExecTier,
-    budget: u64,
-) -> Exec {
-    exec_inner(prog, scheme, None, Some(chaos_seed), tier, false, budget)
+/// Builds, instruments, and runs `prog` under `scheme` with `opts`. A
+/// panic anywhere in the scheme pipeline becomes a `Trap::Abort` (see
+/// [`Verdict::Crash`]).
+pub fn exec_with(prog: &Prog, scheme: FScheme, opts: &ExecOpts) -> Exec {
+    catch_exec(move || exec_uncaught(prog, scheme, opts))
 }
 
 /// True when the run was stopped by the instruction-budget watchdog (the
@@ -197,65 +190,6 @@ pub fn is_budget_trap(e: &Exec) -> bool {
 /// salt instead of recording a recovery bug.
 pub fn is_oom_trap(e: &Exec) -> bool {
     matches!(e.result, Err(Trap::OutOfMemory { .. }))
-}
-
-/// Like [`exec`] but with the observability layer on; returns the run plus
-/// the last `last_k` rendered events (the context attached to
-/// disagreement reports).
-pub fn exec_traced(prog: &Prog, scheme: FScheme, last_k: usize) -> (Exec, Vec<String>) {
-    let rec = Rc::new(RefCell::new(TraceRecorder::new(last_k)));
-    let e = exec_inner(
-        prog,
-        scheme,
-        Some(rec.clone()),
-        None,
-        ExecTier::default(),
-        false,
-        DEFAULT_BUDGET,
-    );
-    let r = Rc::try_unwrap(rec)
-        .expect("machine dropped its recorder handle")
-        .into_inner();
-    (e, r.last_events(last_k))
-}
-
-/// Forensic re-run of a (dis)agreeing execution: attaches a
-/// [`LedgerRecorder`] (object provenance ledger + fault capture + trace
-/// ring of `ring_cap` events) with span mode on, on an explicit tier.
-/// Observability is zero-perturbation, so the returned [`Exec`] is
-/// bit-identical to the plain run — `tests/incident_forensics.rs` pins it.
-pub fn exec_forensic(
-    prog: &Prog,
-    scheme: FScheme,
-    tier: ExecTier,
-    ring_cap: usize,
-) -> (Exec, LedgerRecorder) {
-    let rec = Rc::new(RefCell::new(LedgerRecorder::new(ring_cap)));
-    let e = exec_inner(
-        prog,
-        scheme,
-        Some(rec.clone()),
-        None,
-        tier,
-        true,
-        DEFAULT_BUDGET,
-    );
-    let r = Rc::try_unwrap(rec)
-        .expect("machine dropped its recorder handle")
-        .into_inner();
-    (e, r)
-}
-
-fn exec_inner(
-    prog: &Prog,
-    scheme: FScheme,
-    rec: Option<Rc<RefCell<dyn Recorder>>>,
-    chaos_seed: Option<u64>,
-    tier: ExecTier,
-    spans: bool,
-    budget: u64,
-) -> Exec {
-    catch_exec(move || exec_uncaught(prog, scheme, rec, chaos_seed, tier, spans, budget))
 }
 
 /// Runs `f`, converting a panic anywhere in the scheme pipeline
@@ -281,83 +215,35 @@ fn catch_exec(f: impl FnOnce() -> Exec) -> Exec {
     }
 }
 
-fn exec_uncaught(
-    prog: &Prog,
-    scheme: FScheme,
-    rec: Option<Rc<RefCell<dyn Recorder>>>,
-    chaos_seed: Option<u64>,
-    tier: ExecTier,
-    spans: bool,
-    budget: u64,
-) -> Exec {
-    let markers = rec.is_some();
+fn exec_uncaught(prog: &Prog, scheme: FScheme, opts: &ExecOpts) -> Exec {
     let mut module = gen::build(prog);
-    match scheme {
-        FScheme::Native => {}
-        FScheme::Asan => {
-            instrument_asan_with(&mut module, markers).expect("asan instrumentation");
-        }
-        FScheme::Mpx => {
-            instrument_mpx_with(&mut module, markers).expect("mpx instrumentation");
-        }
-        _ => {
-            let mut cfg = scheme.sb_config().expect("sb scheme");
-            cfg.site_markers = markers;
-            sgxbounds::instrument(&mut module, &cfg).expect("sgxbounds instrumentation");
-        }
-    }
-    verify(&module).expect("instrumented fuzz module verifies");
-
-    let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
-    machine_cfg.tier = tier;
-    let mut cfg = VmConfig::new(machine_cfg);
-    cfg.max_instructions = budget;
-    let mut vm = Vm::new(&module, cfg);
-    vm.machine.set_recorder(rec);
-    if spans {
-        vm.machine.set_span_mode(true);
-    }
-    let asan_cfg = AsanConfig::for_scale(128);
-    let heap = match scheme {
-        FScheme::Asan => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
+    let mut setup = Setup {
+        site_markers: opts.recorder.is_some(),
+        recorder: opts.recorder.clone(),
+        spans: opts.spans,
+        ..Setup::tiny(opts.tier)
     };
-    let chaos_heap = heap.clone();
-    let mut sb_rt = None;
-    match scheme {
-        FScheme::Native => {}
-        FScheme::Asan => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        FScheme::Mpx => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(128));
-        }
-        _ => {
-            sb_rt = Some(sgxbounds::install_sgxbounds(
-                &mut vm,
-                heap,
-                &scheme.sb_config().expect("sb scheme"),
-                None,
-            ));
-        }
-    }
-    if let Some(seed) = chaos_seed {
+    setup.vm.max_instructions = opts.budget;
+    let mut run = scheme
+        .protection()
+        .launch(&mut module, setup)
+        .expect("instrumented fuzz module");
+    if let Some(seed) = opts.chaos_seed {
         // Chaos campaign mode: the allocator fails intermittently and the
         // interpreter rides the injected OOMs out with bounded retries.
-        chaos_heap
+        run.heap
             .borrow_mut()
             .set_fault_plan(Some(AllocFaultPlan::new(seed, 96).with_budget(6)));
-        vm.set_recovery(PolicySet::uniform(RecoveryPolicy::Abort).with_override(
-            TrapClass::Oom,
-            RecoveryPolicy::RetryWithBackoff {
-                max_attempts: 16,
-                backoff: 1_000,
-            },
-        ));
+        run.vm
+            .set_recovery(PolicySet::uniform(RecoveryPolicy::Abort).with_override(
+                TrapClass::Oom,
+                RecoveryPolicy::RetryWithBackoff {
+                    max_attempts: 16,
+                    backoff: 1_000,
+                },
+            ));
     }
-    if tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
+    let vm = &mut run.vm;
     let out = vm.run("main", &[]);
     // The beacon is always GlobalId(0) — gen::build creates it first.
     let baddr = vm.global_addr(GlobalId(0));
@@ -366,7 +252,7 @@ fn exec_uncaught(
     Exec {
         result: out.result,
         beacon: u64::from_le_bytes(buf),
-        violations: sb_rt.map(|rt| *rt.violations.borrow()).unwrap_or(0),
+        violations: run.sgxbounds.map(|rt| *rt.violations.borrow()).unwrap_or(0),
         retries: vm.recovery_stats().attempts,
     }
 }

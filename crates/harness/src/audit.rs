@@ -17,42 +17,28 @@ use crate::cli::{write_file, Args, USAGE};
 use crate::lint::oob_demo;
 use sgxbounds::SbConfig;
 use sgxs_audit::{Incident, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
-use sgxs_mir::{verify, Trap, Vm, VmConfig};
+use sgxs_baselines::{recorded, Protection, Setup};
+use sgxs_mir::Trap;
 use sgxs_obs::read::parse_incident;
-use sgxs_rt::{install_base, AllocOpts};
-use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
-use std::cell::RefCell;
-use std::rc::Rc;
+use sgxs_sim::ExecTier;
 
 /// Runs the demo OOB module under default SGXBounds on `tier` with a
 /// ledger recorder attached; returns the outcome and the recovered
 /// recorder.
 fn forensic_demo_run(tier: ExecTier, window: usize) -> (Result<u64, Trap>, LedgerRecorder) {
     let mut module = oob_demo();
-    let cfg = SbConfig {
-        site_markers: true,
-        ..SbConfig::default()
-    };
-    sgxbounds::instrument(&mut module, &cfg).expect("demo instrumentation");
-    verify(&module).expect("instrumented demo module verifies");
-
-    let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
-    machine_cfg.tier = tier;
-    let mut vm = Vm::new(&module, VmConfig::new(machine_cfg));
-    let rec = Rc::new(RefCell::new(LedgerRecorder::new(window)));
-    vm.machine.set_recorder(Some(rec.clone()));
-    vm.machine.set_span_mode(true);
-    if tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
-    let heap = install_base(&mut vm, AllocOpts::default());
-    sgxbounds::install_sgxbounds(&mut vm, heap, &cfg, None);
-    let out = vm.run("main", &[]);
-    drop(vm);
-    let rec = Rc::try_unwrap(rec)
-        .expect("machine dropped its recorder handle")
-        .into_inner();
-    (out.result, rec)
+    recorded(LedgerRecorder::new(window), |rec| {
+        let setup = Setup {
+            site_markers: true,
+            recorder: Some(rec),
+            spans: true,
+            ..Setup::tiny(tier)
+        };
+        let mut run = Protection::SgxBounds(SbConfig::default())
+            .launch(&mut module, setup)
+            .expect("demo module launches");
+        run.vm.run("main", &[]).result
+    })
 }
 
 /// Assembles the demo incident from one tier's forensic run. The

@@ -70,7 +70,7 @@ pub const USAGE: &str =
      [--tier T] [--workers N] [--journal FILE] [--resume FILE] [--stop-after N] [--quarantine] \
      [--demo-panic SEED] [--json FILE]\n       \
      repro lint [NAMES...] [--ipa] [--demo-oob] [--demo-uaf] [--ascii] [--seed N] \
-     [--tier T] [--json FILE] [--incident FILE]\n       \
+     [--json FILE] [--incident FILE]\n       \
      repro audit --demo-oob [--window N] [--json FILE] [--ascii FILE] [--svg FILE]\n       \
      repro bench record [--quick] [--tiny|--mini|--paper] [--replicates N] [--seed0 N] \
      [--rev REV] [--tier T] [--out FILE]\n       \
@@ -724,7 +724,7 @@ pub fn run_bench(args: &[String]) -> Result<i32, String> {
 pub fn run_tier(args: &[String]) -> Result<i32, String> {
     use sgxs_fuzz::gen::generate;
     use sgxs_fuzz::inject::{inject, ALL_KINDS};
-    use sgxs_fuzz::runner::{exec_chaos_tier, exec_tier, Exec, ALL_SCHEMES};
+    use sgxs_fuzz::runner::{exec_with, Exec, ExecOpts, ALL_SCHEMES};
 
     let mut it = Args::new("tier", args);
     match it.next_arg() {
@@ -766,8 +766,8 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
         let (fprog, _fault) = inject(&prog, kind, seed);
         for scheme in ALL_SCHEMES {
             for (tag, p) in [("safe", &prog), ("faulty", &fprog)] {
-                let r = exec_tier(p, scheme, ExecTier::Reference);
-                let c = exec_tier(p, scheme, ExecTier::Compiled);
+                let r = exec_with(p, scheme, &ExecOpts::on(ExecTier::Reference));
+                let c = exec_with(p, scheme, &ExecOpts::on(ExecTier::Compiled));
                 runs += 2;
                 if !same(&r, &c) {
                     diverged(format!(
@@ -789,8 +789,12 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
         let prog = generate(seed, max_ops);
         let chaos_seed = seed.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(1);
         for scheme in ALL_SCHEMES {
-            let r = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Reference);
-            let c = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Compiled);
+            let chaos = |tier| ExecOpts {
+                chaos_seed: Some(chaos_seed),
+                ..ExecOpts::on(tier)
+            };
+            let r = exec_with(&prog, scheme, &chaos(ExecTier::Reference));
+            let c = exec_with(&prog, scheme, &chaos(ExecTier::Compiled));
             runs += 2;
             if !same(&r, &c) {
                 diverged(format!(
@@ -1076,16 +1080,14 @@ pub fn run_trace(args: &[String]) -> Result<i32, String> {
             }
             "--scheme" => {
                 let v = it.value("--scheme")?;
-                scheme = match v.as_str() {
-                    "native" => sgxs_resil::RScheme::Native,
-                    "sgxbounds" => sgxs_resil::RScheme::SgxBounds,
-                    "sb-boundless" => sgxs_resil::RScheme::Boundless,
-                    _ => {
-                        return Err(it.fail(format!(
+                scheme = sgxs_resil::RScheme::ALL
+                    .into_iter()
+                    .find(|s| s.label() == v)
+                    .ok_or_else(|| {
+                        it.fail(format!(
                             "unknown scheme '{v}' (native|sgxbounds|sb-boundless)"
-                        )))
-                    }
-                };
+                        ))
+                    })?;
             }
             "--policy" => policy = it.value("--policy")?,
             "--seed" => seed = it.parse("--seed")?,
@@ -1110,7 +1112,8 @@ pub fn run_trace(args: &[String]) -> Result<i32, String> {
     };
     let schedule = sgxs_resil::ChaosSchedule::generate(seed, requests);
     let collector = Rc::new(RefCell::new(sgxs_metrics::SpanCollector::default()));
-    let rep = sgxs_resil::serve_traced(app, scheme, &policies, &schedule, tier, collector.clone());
+    let (rep, _) =
+        sgxs_resil::serve_traced(app, scheme, &policies, &schedule, tier, collector.clone());
     let c = collector.borrow();
     println!(
         "{} / {} / {policy} seed {seed}: {} spans ({} dropped), \

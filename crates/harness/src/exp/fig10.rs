@@ -19,14 +19,7 @@ pub const NVARIANTS: usize = 5;
 
 /// Ablation configurations in column order.
 pub fn variants() -> [(&'static str, SbConfig); NVARIANTS] {
-    let off = SbConfig {
-        safe_access_opt: false,
-        hoist_opt: false,
-        boundless: false,
-        narrow_bounds: false,
-        site_markers: false,
-        flow_elide: false,
-    };
+    let off = SbConfig::UNOPTIMIZED;
     [
         ("none", off),
         (

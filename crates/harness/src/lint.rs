@@ -320,7 +320,7 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
 }
 
 /// `repro lint [NAMES...] [--ipa] [--demo-oob] [--demo-uaf] [--ascii]
-/// [--json FILE] [--incident FILE] [--tier T] [--seed N]`: lints workload
+/// [--json FILE] [--incident FILE] [--seed N]`: lints workload
 /// modules (all benchmarks by default) and exits 1 on any proved-OOB,
 /// proved-UAF, or proved-double-free access. `--demo-uaf` implies
 /// `--ipa` (only the interprocedural tier proves it). With `--demo-oob`,
@@ -351,11 +351,6 @@ pub fn run_lint(args: &[String]) -> Result<i32, String> {
             "--ipa" => ipa = true,
             "--ascii" => ascii = true,
             "--seed" => seed = it.parse("--seed")?,
-            "--tier" => {
-                // Linting never executes code; the flag exists so callers
-                // can prove tier-invariance of the output.
-                crate::scheme::set_default_tier(crate::cli::tier_value(&mut it)?);
-            }
             other if !other.starts_with('-') => names.push(other.to_owned()),
             other => return Err(it.fail(format!("unknown argument '{other}'"))),
         }

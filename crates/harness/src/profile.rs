@@ -4,9 +4,8 @@
 
 use crate::report::Table;
 use crate::scheme::{run_one_obs, Measured, RunConfig, Scheme};
+use sgxs_baselines::recorded;
 use sgxs_obs::{Profile, TraceRecorder};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Default ring capacity for traced runs (events kept for the JSONL sink).
 pub const DEFAULT_RING: usize = 4096;
@@ -34,11 +33,9 @@ pub fn profile_one(
     ring_cap: usize,
     top_n: usize,
 ) -> ProfileRun {
-    let rec = Rc::new(RefCell::new(TraceRecorder::new(ring_cap)));
-    let obs = run_one_obs(workload, scheme, rc, rec.clone());
-    let recorder = Rc::try_unwrap(rec)
-        .expect("machine dropped its recorder handle")
-        .into_inner();
+    let (obs, recorder) = recorded(TraceRecorder::new(ring_cap), |rec| {
+        run_one_obs(workload, scheme, rc, rec)
+    });
     let labels: Vec<(String, String)> = obs
         .sites
         .iter()
@@ -120,6 +117,8 @@ mod tests {
     use sgxs_obs::NoopRecorder;
     use sgxs_sim::Preset;
     use sgxs_workloads::SizeClass;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn quick_rc() -> RunConfig {
         let mut rc = RunConfig::new(Preset::Tiny);

@@ -1,13 +1,10 @@
-//! Scheme-aware workload runner: build, instrument, install, stage, run,
-//! measure.
+//! Scheme-aware workload runner: build, launch through the protection
+//! pipeline, stage, run, measure.
 
 use sgxbounds::SbConfig;
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan_with, instrument_mpx_with, AsanConfig, MpxConfig,
-};
-use sgxs_mir::{verify, CheckSite, Trap, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts, Stager};
+use sgxs_baselines::{Protection, Setup};
+use sgxs_mir::{CheckSite, Trap, VmConfig};
+use sgxs_rt::Stager;
 use sgxs_sim::obs::Recorder;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset, Stats};
 use sgxs_workloads::{Params, Workload};
@@ -71,6 +68,17 @@ impl Scheme {
             Scheme::SgxBoundsCustom(_) => "sgxbounds*",
             Scheme::Asan => "asan",
             Scheme::Mpx => "mpx",
+        }
+    }
+
+    /// The pipeline scheme this label stands for.
+    pub fn protection(&self) -> Protection {
+        match *self {
+            Scheme::Baseline => Protection::None,
+            Scheme::SgxBounds => Protection::SgxBounds(SbConfig::default()),
+            Scheme::SgxBoundsCustom(c) => Protection::SgxBounds(c),
+            Scheme::Asan => Protection::Asan,
+            Scheme::Mpx => Protection::Mpx,
         }
     }
 
@@ -206,40 +214,7 @@ fn run_one_inner(
     rec: Option<Rc<RefCell<dyn Recorder>>>,
     perturb: bool,
 ) -> ObsRun {
-    let markers = rec.is_some();
     let mut module = workload.build(&rc.params);
-    let sb_cfg = match scheme {
-        Scheme::SgxBounds => Some(SbConfig {
-            site_markers: markers,
-            ..SbConfig::default()
-        }),
-        Scheme::SgxBoundsCustom(c) => Some(SbConfig {
-            site_markers: markers,
-            ..c
-        }),
-        _ => None,
-    };
-    match scheme {
-        Scheme::Baseline => {}
-        Scheme::SgxBounds | Scheme::SgxBoundsCustom(_) => {
-            sgxbounds::instrument(&mut module, sb_cfg.as_ref().expect("set above"))
-                .expect("sgxbounds instrumentation");
-        }
-        Scheme::Asan => {
-            instrument_asan_with(&mut module, markers).expect("asan instrumentation");
-        }
-        Scheme::Mpx => {
-            instrument_mpx_with(&mut module, markers).expect("mpx instrumentation");
-        }
-    }
-    if let Err(e) = verify(&module) {
-        panic!(
-            "{} under {}: ill-formed IR: {e}",
-            workload.name(),
-            scheme.label()
-        );
-    }
-
     let mut machine_cfg = MachineConfig::preset(rc.preset, rc.mode);
     if let Some(epc) = rc.epc_override {
         machine_cfg.epc_bytes = epc;
@@ -250,42 +225,21 @@ fn run_one_inner(
     // Thread stacks scale with the machine (2 MB pthread default at paper
     // scale) so reserved-memory ratios stay comparable across presets.
     cfg.stack_size = ((2u64 << 20) / rc.scale()).max(32 << 10) as u32;
-    let mut vm = Vm::new(&module, cfg);
-    vm.machine.set_recorder(rec);
-    let cap = rc.enclave_cap();
-    let asan_cfg = AsanConfig::for_scale(rc.scale());
-    let heap = match scheme {
-        Scheme::Asan => install_base(&mut vm, asan_alloc_opts(&asan_cfg, cap)),
-        _ => install_base(
-            &mut vm,
-            AllocOpts {
-                reserve_cap: cap,
-                ..AllocOpts::default()
-            },
-        ),
+    let setup = Setup {
+        reserve_cap: rc.enclave_cap(),
+        site_markers: rec.is_some(),
+        recorder: rec,
+        perturb,
+        ..Setup::new(cfg, rc.scale())
     };
-    let mut mpx_rt = None;
-    match scheme {
-        Scheme::SgxBounds | Scheme::SgxBoundsCustom(_) => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sb_cfg.expect("set above"), None);
-        }
-        Scheme::Asan => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        Scheme::Mpx => {
-            mpx_rt = Some(install_mpx(&mut vm, heap, MpxConfig::for_scale(rc.scale())));
-        }
-        Scheme::Baseline => {}
-    }
+    let mut run = scheme
+        .protection()
+        .launch(&mut module, setup)
+        .unwrap_or_else(|e| panic!("{} under {}: {e}", workload.name(), scheme.label()));
 
     let mut st = Stager::new();
-    let args = workload.stage(&mut vm, &mut st, &rc.params);
-    if perturb {
-        sgxs_exec::attach_perturbed(&mut vm);
-    } else if rc.tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
-    let out = vm.run("main", &args);
+    let args = workload.stage(&mut run.vm, &mut st, &rc.params);
+    let out = run.vm.run("main", &args);
     let measured = Measured {
         workload: workload.name().to_owned(),
         scheme: scheme.label(),
@@ -294,12 +248,13 @@ fn run_one_inner(
         peak_reserved: out.peak_reserved,
         peak_committed: out.peak_committed,
         stats: out.stats,
-        mpx_bts: mpx_rt
+        mpx_bts: run
+            .mpx
             .as_ref()
             .map(|r| r.tables.borrow().bt_count())
             .unwrap_or(0),
     };
-    drop(vm);
+    drop(run);
     ObsRun {
         measured,
         sites: std::mem::take(&mut module.check_sites),

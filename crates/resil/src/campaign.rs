@@ -3,10 +3,11 @@
 
 use crate::chaos::ChaosSchedule;
 use crate::serve::{
-    abort_policy, boundless_policy, graceful_policy, retry_policy, serve_forensic, serve_tier,
+    abort_policy, boundless_policy, graceful_policy, retry_policy, serve_tier, serve_traced,
     AvailabilityReport, RScheme, ServerApp,
 };
-use sgxs_audit::{FaultInfo, Incident, IncidentMeta, DEFAULT_TRACE_WINDOW};
+use sgxs_audit::{FaultInfo, Incident, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
+use sgxs_baselines::recorded;
 use sgxs_metrics::{Hist, Registry};
 use sgxs_mir::PolicySet;
 use sgxs_obs::json::Json;
@@ -730,14 +731,16 @@ pub fn run_chaos_campaign_supervised(
 fn corruption_incident(opts: &CampaignOpts, combo: &Combo, seed: u64) -> Incident {
     let schedule = ChaosSchedule::generate(seed, opts.requests);
     let app = ServerApp::ALL[(seed % ServerApp::ALL.len() as u64) as usize];
-    let (rep, rec, first) = serve_forensic(
-        app,
-        combo.scheme,
-        &combo.policies,
-        &schedule,
-        opts.tier,
-        DEFAULT_TRACE_WINDOW,
-    );
+    let ((rep, first), rec) = recorded(LedgerRecorder::new(DEFAULT_TRACE_WINDOW), |rec| {
+        serve_traced(
+            app,
+            combo.scheme,
+            &combo.policies,
+            &schedule,
+            opts.tier,
+            rec,
+        )
+    });
     let meta = IncidentMeta {
         origin: "chaos".into(),
         workload: format!("{}-seed-{seed}", app.label()),

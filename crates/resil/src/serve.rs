@@ -1,6 +1,6 @@
 //! Request-level crash isolation for the server workloads.
 //!
-//! One [`serve`] call runs one server (nginx / apache / memcached
+//! One [`serve_tier`] call runs one server (nginx / apache / memcached
 //! per-request module from `sgxs-workloads`) under one protection scheme
 //! and one recovery [`PolicySet`] against one [`ChaosSchedule`]. Each
 //! request is a separate `vm.run("handle", ..)` invocation, so a trap is
@@ -19,13 +19,13 @@
 //! cross-object corruption that the scheme failed to contain.
 
 use crate::chaos::{ChaosKind, ChaosSchedule};
+use sgxbounds::SbConfig;
+use sgxs_baselines::{Protected, Protection, Setup};
 use sgxs_metrics::Hist;
-use sgxs_mir::{
-    verify, GlobalId, PolicySet, RecoveryPolicy, RecoveryStats, TrapClass, Vm, VmConfig,
-};
+use sgxs_mir::{GlobalId, PolicySet, RecoveryPolicy, RecoveryStats, TrapClass};
 use sgxs_obs::{Event, Recorder};
-use sgxs_rt::{install_base, AllocOpts, Stager};
-use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
+use sgxs_rt::Stager;
+use sgxs_sim::ExecTier;
 use sgxs_workloads::apps::server::{
     BENIGN_MAX, CANARY_BYTES, CANARY_PATTERN, EVIL_LEN, INPUT_BYTES, STATE_CANARY_A, STATE_CANARY_B,
 };
@@ -79,6 +79,9 @@ pub enum RScheme {
 }
 
 impl RScheme {
+    /// All schemes, label order of the CLI help.
+    pub const ALL: [RScheme; 3] = [RScheme::Native, RScheme::SgxBounds, RScheme::Boundless];
+
     /// Report label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -88,13 +91,14 @@ impl RScheme {
         }
     }
 
-    fn sb_config(&self) -> Option<sgxbounds::SbConfig> {
+    /// The pipeline scheme this label stands for.
+    pub fn protection(&self) -> Protection {
         match self {
-            RScheme::Native => None,
-            RScheme::SgxBounds => Some(sgxbounds::SbConfig::default()),
-            RScheme::Boundless => Some(sgxbounds::SbConfig {
+            RScheme::Native => Protection::None,
+            RScheme::SgxBounds => Protection::SgxBounds(SbConfig::default()),
+            RScheme::Boundless => Protection::SgxBounds(SbConfig {
                 boundless: true,
-                ..sgxbounds::SbConfig::default()
+                ..SbConfig::default()
             }),
         }
     }
@@ -160,47 +164,13 @@ fn benign_len(r: u32) -> u64 {
     16 + (r as u64 * 37) % (BENIGN_MAX - 16)
 }
 
-/// Runs `app` under `scheme` with recovery `policies` against `schedule`.
+/// Runs `app` under `scheme` with recovery `policies` against `schedule`
+/// on `tier`. Every field of the report — availability ledger, recovery
+/// counters, canary corruption, AEX penalties — must be identical across
+/// tiers; the chaos-campaign equivalence tests enforce this seed-for-seed.
 ///
 /// Panics if the server's `setup` entry fails — the chaos tier only
 /// injects faults from the first request onward.
-pub fn serve(
-    app: ServerApp,
-    scheme: RScheme,
-    policies: &PolicySet,
-    schedule: &ChaosSchedule,
-) -> AvailabilityReport {
-    serve_tier(app, scheme, policies, schedule, ExecTier::default())
-}
-
-/// Like [`serve_traced`] but with a full [`sgxs_audit::LedgerRecorder`]
-/// attached, for incident forensics. Returns the report, the recovered
-/// recorder (object ledger, span path, trace ring), and the plain address
-/// of the first corrupted canary byte, when the run corrupted any.
-///
-/// The report is identical to the untraced run's — same zero-perturbation
-/// contract as [`serve_traced`].
-pub fn serve_forensic(
-    app: ServerApp,
-    scheme: RScheme,
-    policies: &PolicySet,
-    schedule: &ChaosSchedule,
-    tier: ExecTier,
-    ring_cap: usize,
-) -> (AvailabilityReport, sgxs_audit::LedgerRecorder, Option<u32>) {
-    let rec = Rc::new(RefCell::new(sgxs_audit::LedgerRecorder::new(ring_cap)));
-    let (report, first_corrupted) =
-        serve_inner(app, scheme, policies, schedule, tier, Some(rec.clone()));
-    let rec = Rc::try_unwrap(rec)
-        .expect("server dropped its recorder handle")
-        .into_inner();
-    (report, rec, first_corrupted)
-}
-
-/// Like [`serve`] but on an explicit execution tier. Every field of the
-/// report — availability ledger, recovery counters, canary corruption,
-/// AEX penalties — must be identical across tiers; the chaos-campaign
-/// equivalence tests enforce this seed-for-seed.
 pub fn serve_tier(
     app: ServerApp,
     scheme: RScheme,
@@ -213,9 +183,12 @@ pub fn serve_tier(
 
 /// Like [`serve_tier`] but with an observability recorder attached for the
 /// whole run: span events (`serve` → `request` → `check`) and every other
-/// obs event flow into `rec`. Recording never charges a simulated cycle,
-/// so the returned report is identical to the untraced run's — the
-/// zero-perturbation pin in `tests/metrics_pin.rs` enforces this.
+/// obs event flow into `rec`. Also returns the plain address of the first
+/// corrupted canary byte, when the run corrupted any (the anchor of a
+/// corruption incident). Recording never charges a simulated cycle, so
+/// the returned report is identical to the untraced run's — the
+/// zero-perturbation pins in `tests/metrics_pin.rs` and
+/// `tests/incident_forensics.rs` enforce this.
 pub fn serve_traced(
     app: ServerApp,
     scheme: RScheme,
@@ -223,8 +196,8 @@ pub fn serve_traced(
     schedule: &ChaosSchedule,
     tier: ExecTier,
     rec: Rc<RefCell<dyn Recorder>>,
-) -> AvailabilityReport {
-    serve_inner(app, scheme, policies, schedule, tier, Some(rec)).0
+) -> (AvailabilityReport, Option<u32>) {
+    serve_inner(app, scheme, policies, schedule, tier, Some(rec))
 }
 
 fn serve_inner(
@@ -236,32 +209,23 @@ fn serve_inner(
     rec: Option<Rc<RefCell<dyn Recorder>>>,
 ) -> (AvailabilityReport, Option<u32>) {
     let mut module = app.module();
-    // Tracing turns site markers on so check-region spans exist; markers
-    // never retire instructions or charge cycles (the PR 2 pin), so the
-    // report stays identical either way.
-    let mut sb_cfg = scheme.sb_config();
-    if rec.is_some() {
-        if let Some(c) = &mut sb_cfg {
-            c.site_markers = true;
-        }
-    }
-    if let Some(cfg) = &sb_cfg {
-        sgxbounds::instrument(&mut module, cfg).expect("server instrumentation");
-    }
-    verify(&module).expect("server module verifies");
-
-    let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
-    machine_cfg.tier = tier;
-    let mut cfg = VmConfig::new(machine_cfg);
-    cfg.max_instructions = 500_000_000;
-    let mut vm = Vm::new(&module, cfg);
-    if tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
-    let heap = install_base(&mut vm, AllocOpts::default());
-    let sb_rt = sb_cfg
-        .as_ref()
-        .map(|cfg| sgxbounds::install_sgxbounds(&mut vm, heap.clone(), cfg, None));
+    let mut setup = Setup {
+        // Tracing turns site markers on so check-region spans exist;
+        // markers never retire instructions or charge cycles, so the
+        // report stays identical either way.
+        site_markers: rec.is_some(),
+        ..Setup::tiny(tier)
+    };
+    setup.vm.max_instructions = 500_000_000;
+    let Protected {
+        mut vm,
+        heap,
+        sgxbounds: sb_rt,
+        ..
+    } = scheme
+        .protection()
+        .launch(&mut module, setup)
+        .expect("server module launches");
 
     // Stage the request input: INPUT_BYTES of seeded bytes, none zero (so
     // boundless zero-reads are distinguishable) and none the canary pattern.
@@ -478,6 +442,15 @@ pub fn boundless_policy() -> PolicySet {
 mod tests {
     use super::*;
 
+    fn serve(
+        app: ServerApp,
+        scheme: RScheme,
+        policies: &PolicySet,
+        schedule: &ChaosSchedule,
+    ) -> AvailabilityReport {
+        serve_tier(app, scheme, policies, schedule, ExecTier::default())
+    }
+
     fn quiet_schedule(seed: u64, requests: u32) -> ChaosSchedule {
         // Attacks only — no environmental noise — for sharp assertions.
         let mut s = ChaosSchedule::generate(seed, requests);
@@ -587,7 +560,7 @@ mod tests {
             &sch,
         );
         let rec = Rc::new(RefCell::new(SpanCollector::default()));
-        let traced = serve_traced(
+        let (traced, _) = serve_traced(
             ServerApp::Nginx,
             RScheme::Boundless,
             &boundless_policy(),

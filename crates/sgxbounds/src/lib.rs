@@ -79,6 +79,19 @@ pub struct SbConfig {
     pub flow_elide: bool,
 }
 
+impl SbConfig {
+    /// Every optimization and option off: a full check on every access
+    /// (Fig. 10's `none` column and the fuzz campaign's `sb-noopt`).
+    pub const UNOPTIMIZED: SbConfig = SbConfig {
+        safe_access_opt: false,
+        hoist_opt: false,
+        boundless: false,
+        narrow_bounds: false,
+        site_markers: false,
+        flow_elide: false,
+    };
+}
+
 impl Default for SbConfig {
     fn default() -> Self {
         SbConfig {
@@ -147,14 +160,7 @@ mod e2e {
 
     #[test]
     fn overflow_detected_without_optimizations_too() {
-        let cfg = SbConfig {
-            safe_access_opt: false,
-            hoist_opt: false,
-            boundless: false,
-            narrow_bounds: false,
-            site_markers: false,
-            flow_elide: false,
-        };
+        let cfg = SbConfig::UNOPTIMIZED;
         let (out, _) = run_hardened(&mut heap_writer(), cfg, &[11]);
         assert!(matches!(out.result, Err(Trap::SafetyViolation { .. })));
         // And in-bounds still works.

@@ -23,14 +23,7 @@ fn instrumented(cfg: SbConfig) -> String {
 
 #[test]
 fn full_checks_emit_the_fig4d_sequence() {
-    let text = instrumented(SbConfig {
-        safe_access_opt: false,
-        hoist_opt: false,
-        boundless: false,
-        narrow_bounds: false,
-        site_markers: false,
-        flow_elide: false,
-    });
+    let text = instrumented(SbConfig::UNOPTIMIZED);
     // Tag strip: `And rX, 0xffffffff`.
     assert!(text.contains("And"), "missing mask:\n{text}");
     assert!(text.contains("0xffffffff"), "missing pointer mask:\n{text}");
@@ -73,18 +66,7 @@ fn hoisting_moves_checks_out_of_loops() {
         mb.finish()
     };
     let mut unopt = build();
-    sgxbounds::instrument(
-        &mut unopt,
-        &SbConfig {
-            safe_access_opt: false,
-            hoist_opt: false,
-            boundless: false,
-            narrow_bounds: false,
-            site_markers: false,
-            flow_elide: false,
-        },
-    )
-    .unwrap();
+    sgxbounds::instrument(&mut unopt, &SbConfig::UNOPTIMIZED).unwrap();
     let mut opt = build();
     sgxbounds::instrument(&mut opt, &SbConfig::default()).unwrap();
     // The optimized form performs fewer LB loads (none in the loop) —
@@ -123,12 +105,8 @@ fn instrumentation_reports_are_consistent_with_the_ir() {
 #[test]
 fn boundless_lowering_reads_the_redirected_address() {
     let text = instrumented(SbConfig {
-        safe_access_opt: false,
-        hoist_opt: false,
         boundless: true,
-        narrow_bounds: false,
-        site_markers: false,
-        flow_elide: false,
+        ..SbConfig::UNOPTIMIZED
     });
     // The continuation reads a local (the ok/fail paths both write it).
     assert!(

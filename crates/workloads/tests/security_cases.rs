@@ -1,13 +1,11 @@
 //! Security case studies (paper §7 and Table 4): Heartbleed, the Nginx
 //! stack overflow, and the 16-configuration RIPE matrix.
 
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan, instrument_mpx, AsanConfig, MpxConfig,
-};
-use sgxs_mir::{verify, Module, Trap, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts, Stager};
-use sgxs_sim::{MachineConfig, Mode, Preset};
+use sgxbounds::SbConfig;
+use sgxs_baselines::{Protection, Setup};
+use sgxs_mir::{Module, Trap};
+use sgxs_rt::Stager;
+use sgxs_sim::ExecTier;
 use sgxs_workloads::apps::apache::Heartbleed;
 use sgxs_workloads::apps::nginx::NginxCve2013_2028;
 use sgxs_workloads::apps::ripe;
@@ -24,120 +22,64 @@ fn params() -> Params {
     }
 }
 
-/// Runs an already-built module under a scheme; boundless toggles the
-/// SGXBounds §4.2 mode.
-fn run_module(
-    mut module: Module,
-    scheme: &str,
-    boundless: bool,
-    args: &[u64],
-) -> Result<u64, Trap> {
-    let sb_cfg = sgxbounds::SbConfig {
-        boundless,
-        ..sgxbounds::SbConfig::default()
-    };
-    match scheme {
-        "native" => {}
-        "sgxbounds" => {
-            sgxbounds::instrument(&mut module, &sb_cfg).unwrap();
-        }
-        "asan" => {
-            instrument_asan(&mut module).unwrap();
-        }
-        "mpx" => {
-            instrument_mpx(&mut module).unwrap();
-        }
-        _ => unreachable!(),
-    }
-    verify(&module).unwrap();
-    let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-    cfg.max_instructions = 100_000_000;
-    let mut vm = Vm::new(&module, cfg);
-    let asan_cfg = AsanConfig::for_scale(SCALE);
-    let heap = match scheme {
-        "asan" => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
-    };
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sb_cfg, None);
-        }
-        "asan" => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        "mpx" => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(SCALE));
-        }
-        _ => {}
-    }
-    vm.run("main", args).result
+/// The hardening schemes, with SGXBounds fail-stop.
+fn schemes() -> [Protection; 3] {
+    [
+        Protection::SgxBounds(SbConfig::default()),
+        Protection::Asan,
+        Protection::Mpx,
+    ]
 }
 
-fn run_workload(w: &dyn Workload, scheme: &str, boundless: bool) -> Result<u64, Trap> {
-    let p = params();
-    let module = w.build(&p);
-    // Stage against a scratch VM first to learn the args, then rebuild —
-    // staging only touches memory, so stage into the real VM: we need the
-    // VM before staging, so replicate run_module inline.
-    let sb_cfg = sgxbounds::SbConfig {
-        boundless,
-        ..sgxbounds::SbConfig::default()
+/// SGXBounds in boundless-memory mode (§4.2).
+fn boundless() -> Protection {
+    Protection::SgxBounds(SbConfig {
+        boundless: true,
+        ..SbConfig::default()
+    })
+}
+
+/// Launches `module` under `scheme`, stages the workload's inputs when
+/// there is one, and runs `main`.
+fn run(
+    mut module: Module,
+    scheme: Protection,
+    workload: Option<&dyn Workload>,
+) -> Result<u64, Trap> {
+    let mut setup = Setup::tiny(ExecTier::Reference);
+    setup.vm.max_instructions = 100_000_000;
+    let mut run = scheme.launch(&mut module, setup).unwrap();
+    let args = match workload {
+        Some(w) => w.stage(&mut run.vm, &mut Stager::new(), &params()),
+        None => Vec::new(),
     };
-    let mut module = module;
-    match scheme {
-        "native" => {}
-        "sgxbounds" => {
-            sgxbounds::instrument(&mut module, &sb_cfg).unwrap();
-        }
-        "asan" => {
-            instrument_asan(&mut module).unwrap();
-        }
-        "mpx" => {
-            instrument_mpx(&mut module).unwrap();
-        }
-        _ => unreachable!(),
-    }
-    verify(&module).unwrap();
-    let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-    cfg.max_instructions = 100_000_000;
-    let mut vm = Vm::new(&module, cfg);
-    let asan_cfg = AsanConfig::for_scale(SCALE);
-    let heap = match scheme {
-        "asan" => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
-    };
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sb_cfg, None);
-        }
-        "asan" => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        "mpx" => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(SCALE));
-        }
-        _ => {}
-    }
-    let mut st = Stager::new();
-    let args = w.stage(&mut vm, &mut st, &params());
-    vm.run("main", &args).result
+    run.vm.run("main", &args).result
+}
+
+/// Runs an already-built module under a scheme.
+fn run_module(module: Module, scheme: Protection) -> Result<u64, Trap> {
+    run(module, scheme, None)
+}
+
+fn run_workload(w: &dyn Workload, scheme: Protection) -> Result<u64, Trap> {
+    run(w.build(&params()), scheme, Some(w))
 }
 
 // ---- Heartbleed (§7 Apache) ------------------------------------------
 
 #[test]
 fn heartbleed_leaks_natively() {
-    let r = run_workload(&Heartbleed, "native", false).unwrap();
+    let r = run_workload(&Heartbleed, Protection::None).unwrap();
     assert_eq!(r, 1, "unprotected server must leak the secret");
 }
 
 #[test]
 fn heartbleed_detected_by_all_schemes() {
-    for scheme in ["sgxbounds", "asan", "mpx"] {
-        let r = run_workload(&Heartbleed, scheme, false);
+    for scheme in schemes() {
+        let r = run_workload(&Heartbleed, scheme);
         assert!(
             matches!(r, Err(Trap::SafetyViolation { .. })),
-            "{scheme} must detect Heartbleed, got {r:?}"
+            "{scheme:?} must detect Heartbleed, got {r:?}"
         );
     }
 }
@@ -146,7 +88,7 @@ fn heartbleed_detected_by_all_schemes() {
 fn heartbleed_boundless_prevents_leak_and_continues() {
     // Paper §7: SGXBounds with boundless memory copies zeroes into the
     // reply and Apache keeps running.
-    let r = run_workload(&Heartbleed, "sgxbounds", true).unwrap();
+    let r = run_workload(&Heartbleed, boundless()).unwrap();
     assert_eq!(r, 0, "no secret bytes may leak under boundless memory");
 }
 
@@ -154,36 +96,36 @@ fn heartbleed_boundless_prevents_leak_and_continues() {
 
 #[test]
 fn nginx_cve_detected_by_all_schemes() {
-    for scheme in ["sgxbounds", "asan", "mpx"] {
-        let r = run_workload(&NginxCve2013_2028, scheme, false);
+    for scheme in schemes() {
+        let r = run_workload(&NginxCve2013_2028, scheme);
         assert!(
             matches!(r, Err(Trap::SafetyViolation { .. })),
-            "{scheme} must detect the stack overflow, got {r:?}"
+            "{scheme:?} must detect the stack overflow, got {r:?}"
         );
     }
 }
 
 #[test]
 fn nginx_cve_boundless_drops_request_and_serves_rest() {
-    let r = run_workload(&NginxCve2013_2028, "sgxbounds", true).unwrap();
+    let r = run_workload(&NginxCve2013_2028, boundless()).unwrap();
     assert_eq!(r, 8, "all requests served after dropping the attack");
 }
 
 // ---- RIPE (Table 4) ----------------------------------------------------
 
-fn ripe_prevented(scheme: &str) -> usize {
+fn ripe_prevented(scheme: Protection) -> usize {
     let mut prevented = 0;
     for cfg in ripe::all_attacks() {
         let m = ripe::build_attack(&cfg);
-        match run_module(m, scheme, false, &[]) {
+        match run_module(m, scheme) {
             Err(Trap::SafetyViolation { .. }) => prevented += 1,
             Ok(v) => assert_eq!(
                 v,
                 ripe::SHELL_MAGIC,
-                "undetected attack must succeed ({}, {scheme})",
+                "undetected attack must succeed ({}, {scheme:?})",
                 cfg.label()
             ),
-            Err(t) => panic!("unexpected trap for {} under {scheme}: {t}", cfg.label()),
+            Err(t) => panic!("unexpected trap for {} under {scheme:?}: {t}", cfg.label()),
         }
     }
     prevented
@@ -193,7 +135,7 @@ fn ripe_prevented(scheme: &str) -> usize {
 fn ripe_all_attacks_succeed_natively() {
     for cfg in ripe::all_attacks() {
         let m = ripe::build_attack(&cfg);
-        let r = run_module(m, "native", false, &[]).unwrap();
+        let r = run_module(m, Protection::None).unwrap();
         assert_eq!(
             r,
             ripe::SHELL_MAGIC,
@@ -205,17 +147,17 @@ fn ripe_all_attacks_succeed_natively() {
 
 #[test]
 fn ripe_sgxbounds_prevents_8_of_16() {
-    assert_eq!(ripe_prevented("sgxbounds"), 8);
+    assert_eq!(ripe_prevented(schemes()[0]), 8);
 }
 
 #[test]
 fn ripe_asan_prevents_8_of_16() {
-    assert_eq!(ripe_prevented("asan"), 8);
+    assert_eq!(ripe_prevented(Protection::Asan), 8);
 }
 
 #[test]
 fn ripe_mpx_prevents_2_of_16() {
-    assert_eq!(ripe_prevented("mpx"), 2);
+    assert_eq!(ripe_prevented(Protection::Mpx), 2);
 }
 
 #[test]
@@ -226,13 +168,13 @@ fn ripe_in_struct_overflows_evade_everyone() {
         if cfg.target != ripe::Target::InStructFuncPtr {
             continue;
         }
-        for scheme in ["sgxbounds", "asan", "mpx"] {
+        for scheme in schemes() {
             let m = ripe::build_attack(&cfg);
-            let r = run_module(m, scheme, false, &[]);
+            let r = run_module(m, scheme);
             assert_eq!(
                 r.unwrap(),
                 ripe::SHELL_MAGIC,
-                "{} must evade {scheme}",
+                "{} must evade {scheme:?}",
                 cfg.label()
             );
         }
@@ -244,11 +186,11 @@ fn ripe_in_struct_overflows_evade_everyone() {
 #[test]
 fn memcached_cve_detected_by_all_schemes() {
     use sgxs_workloads::apps::memcached::MemcachedCve2011_4971;
-    for scheme in ["sgxbounds", "asan", "mpx"] {
-        let r = run_workload(&MemcachedCve2011_4971, scheme, false);
+    for scheme in schemes() {
+        let r = run_workload(&MemcachedCve2011_4971, scheme);
         assert!(
             matches!(r, Err(Trap::SafetyViolation { .. })),
-            "{scheme} must detect the CVE overflow, got {r:?}"
+            "{scheme:?} must detect the CVE overflow, got {r:?}"
         );
     }
 }
@@ -260,7 +202,7 @@ fn memcached_cve_boundless_hangs_like_the_paper() {
     // subsequent bug in the program's logic" — reproduced as an
     // instruction-budget exhaustion instead of a detection or crash.
     use sgxs_workloads::apps::memcached::MemcachedCve2011_4971;
-    let r = run_workload(&MemcachedCve2011_4971, "sgxbounds", true);
+    let r = run_workload(&MemcachedCve2011_4971, boundless());
     assert!(
         matches!(r, Err(Trap::InstructionLimit)),
         "boundless mode must spin in the retry loop, got {r:?}"

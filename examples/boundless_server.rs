@@ -8,10 +8,11 @@
 //! Run with `cargo run --example boundless_server`.
 
 use sgxbounds::{DoubleFreeGuard, SbConfig};
+use sgxs_baselines::{Protection, Setup};
 use sgxs_harness::{run_one, RunConfig, Scheme};
-use sgxs_mir::{ModuleBuilder, Operand, Trap, Ty, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts, Stager};
-use sgxs_sim::{MachineConfig, Mode, Preset};
+use sgxs_mir::{ModuleBuilder, Operand, Trap, Ty};
+use sgxs_rt::Stager;
+use sgxs_sim::{ExecTier, Preset};
 use sgxs_workloads::apps::nginx::NginxCve2013_2028;
 use sgxs_workloads::{Params, SizeClass, Workload};
 use std::cell::RefCell;
@@ -43,16 +44,14 @@ fn main() {
         fb.ret(Some(0u64.into()));
     });
     let mut module = mb.finish();
-    let cfg = SbConfig::default();
-    sgxbounds::instrument(&mut module, &cfg).unwrap();
-    let mut vm = Vm::new(
-        &module,
-        VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-    );
-    let heap = install_base(&mut vm, AllocOpts::default());
+    let sgxbounds = Protection::SgxBounds(SbConfig::default());
     let guard = Rc::new(RefCell::new(DoubleFreeGuard::new(0x5AFE_C0DE)));
-    sgxbounds::install_sgxbounds(&mut vm, heap, &cfg, Some(guard.clone()));
-    match vm.run("main", &[]).result {
+    let setup = Setup {
+        hooks: Some(guard.clone()),
+        ..Setup::tiny(ExecTier::Reference)
+    };
+    let mut run = sgxbounds.launch(&mut module, setup).unwrap();
+    match run.vm.run("main", &[]).result {
         Err(Trap::Abort(msg)) => println!("caught: {msg}"),
         other => println!("unexpected: {other:?}"),
     }
@@ -71,16 +70,12 @@ fn main() {
         seed: 1,
     };
     let mut module = w.build(&p);
-    sgxbounds::instrument(&mut module, &cfg).unwrap();
-    let mut vm = Vm::new(
-        &module,
-        VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-    );
-    let heap = install_base(&mut vm, AllocOpts::default());
-    sgxbounds::install_sgxbounds(&mut vm, heap, &cfg, None);
+    let mut run = sgxbounds
+        .launch(&mut module, Setup::tiny(ExecTier::Reference))
+        .unwrap();
     let mut st = Stager::new();
-    let args = w.stage(&mut vm, &mut st, &p);
-    let out = vm.run("main", &args);
+    let args = w.stage(&mut run.vm, &mut st, &p);
+    let out = run.vm.run("main", &args);
     println!(
         "served {} requests in {} simulated cycles",
         out.expect_ok(),

@@ -6,10 +6,9 @@
 //!
 //! Run with `cargo run --example mpx_race`.
 
-use sgxs_baselines::{install_mpx, instrument_mpx, MpxConfig};
-use sgxs_mir::{BinOp, CmpOp, Module, ModuleBuilder, Operand, Ty, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts};
-use sgxs_sim::{MachineConfig, Mode, Preset};
+use sgxs_baselines::{Protection, Setup};
+use sgxs_mir::{BinOp, CmpOp, Module, ModuleBuilder, Operand, Ty};
+use sgxs_sim::ExecTier;
 
 /// Two flipper threads racing pointer stores against a reader that chases
 /// the shared cell — the exact Fig. 4c scenario the paper walks through.
@@ -59,15 +58,11 @@ fn build() -> Module {
 
 fn main() {
     let mut module = build();
-    instrument_mpx(&mut module).unwrap();
-    let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-    cfg.quantum = 3; // Fine-grained interleaving.
-    let mut vm = Vm::new(&module, cfg);
-    let heap = install_base(&mut vm, AllocOpts::default());
-    let rt = install_mpx(&mut vm, heap, MpxConfig::for_scale(128));
-    let out = vm.run("main", &[]);
-    out.expect_ok();
-    let st = rt.tables.borrow().stats;
+    let mut setup = Setup::tiny(ExecTier::Reference);
+    setup.vm.quantum = 3; // Fine-grained interleaving.
+    let mut run = Protection::Mpx.launch(&mut module, setup).unwrap();
+    run.vm.run("main", &[]).expect_ok();
+    let st = run.mpx.expect("mpx runtime").tables.borrow().stats;
     println!("MPX under racing pointer updates (paper §4.1):");
     println!("  bndstx executed:            {}", st.bndstx);
     println!("  bndldx executed:            {}", st.bndldx);

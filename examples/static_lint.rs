@@ -63,13 +63,11 @@ fn main() {
     );
 
     // 3. Elision is sound: the surviving checks still catch the bug.
-    let mut vm = Vm::new(
-        &hardened,
-        VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-    );
-    let heap = sgxs_rt::install_base(&mut vm, AllocOpts::default());
-    sgxbounds::install_sgxbounds(&mut vm, heap, &cfg, None);
-    let out = vm.run("main", &[]);
+    let mut module = build();
+    let mut run = Protection::SgxBounds(cfg)
+        .launch(&mut module, Setup::tiny(ExecTier::Reference))
+        .expect("launch");
+    let out = run.vm.run("main", &[]);
     println!("hardened run: {:?}", out.result.unwrap_err());
 
     // 4. The raw facts are available too, e.g. for editor tooling.

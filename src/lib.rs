@@ -59,9 +59,10 @@ pub use sgxs_workloads as workloads;
 /// Everything needed to write programs against the reproduction.
 pub mod prelude {
     pub use sgxbounds::{SbConfig, SbRuntime};
+    pub use sgxs_baselines::{Protection, Setup};
     pub use sgxs_mir::{
         CmpOp, FuncBuilder, Module, ModuleBuilder, Operand, RunOutcome, Trap, Ty, Vm, VmConfig,
     };
     pub use sgxs_rt::AllocOpts;
-    pub use sgxs_sim::{MachineConfig, Mode, Preset};
+    pub use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
 }

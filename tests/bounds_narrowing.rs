@@ -2,9 +2,9 @@
 //! whole-object schemes (Table 4's in-struct RIPE rows) cannot see.
 
 use sgxbounds::SbConfig;
-use sgxs_mir::{verify, Module, ModuleBuilder, Operand, Trap, Ty, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts};
-use sgxs_sim::{MachineConfig, Mode, Preset};
+use sgxs_baselines::{Protection, Setup};
+use sgxs_mir::{Module, ModuleBuilder, Operand, Trap, Ty};
+use sgxs_sim::ExecTier;
 
 /// A struct { buf[16]; target u64 } where a loop writes `n` bytes into the
 /// buffer *field* (marked with `gep_field`); `main` returns the target.
@@ -30,15 +30,10 @@ fn run(mut module: Module, narrow: bool) -> Result<u64, Trap> {
         narrow_bounds: narrow,
         ..SbConfig::default()
     };
-    sgxbounds::instrument(&mut module, &cfg).unwrap();
-    verify(&module).unwrap();
-    let mut vm = Vm::new(
-        &module,
-        VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-    );
-    let heap = install_base(&mut vm, AllocOpts::default());
-    sgxbounds::install_sgxbounds(&mut vm, heap, &cfg, None);
-    vm.run("main", &[]).result
+    let mut run = Protection::SgxBounds(cfg)
+        .launch(&mut module, Setup::tiny(ExecTier::Reference))
+        .unwrap();
+    run.vm.run("main", &[]).result
 }
 
 #[test]

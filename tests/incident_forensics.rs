@@ -12,13 +12,14 @@
 //! 4. attaching the forensic ledger to a chaos server changes no field
 //!    of the availability report.
 
-use sgxs_audit::{Incident, IncidentMeta, DEFAULT_TRACE_WINDOW};
-use sgxs_fuzz::runner::{exec_forensic, exec_tier, FScheme};
+use sgxs_audit::{Incident, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
+use sgxs_baselines::recorded;
+use sgxs_fuzz::runner::{exec_with, ExecOpts, FScheme};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
 use sgxs_harness::audit::pinned_demo_incident;
 use sgxs_obs::read::{parse_chaos, parse_incident};
 use sgxs_resil::{
-    abort_policy, run_chaos_campaign, serve_forensic, serve_tier, CampaignOpts, ChaosSchedule,
+    abort_policy, run_chaos_campaign, serve_tier, serve_traced, CampaignOpts, ChaosSchedule,
     RScheme, ServerApp,
 };
 use sgxs_sim::ExecTier;
@@ -69,9 +70,15 @@ fn corpus_forensics_are_zero_perturbation_and_tier_pinned() {
         let (fprog, fault) = inject::inject(&prog, entry.kind.unwrap(), entry.seed);
         let mut pinned: Option<String> = None;
         for tier in [ExecTier::Reference, ExecTier::Compiled] {
-            let plain = exec_tier(&fprog, FScheme::SgxBounds, tier);
-            let (forensic, rec) =
-                exec_forensic(&fprog, FScheme::SgxBounds, tier, DEFAULT_TRACE_WINDOW);
+            let plain = exec_with(&fprog, FScheme::SgxBounds, &ExecOpts::on(tier));
+            let (forensic, rec) = recorded(LedgerRecorder::new(DEFAULT_TRACE_WINDOW), |rec| {
+                let opts = ExecOpts {
+                    recorder: Some(rec),
+                    spans: true,
+                    ..ExecOpts::on(tier)
+                };
+                exec_with(&fprog, FScheme::SgxBounds, &opts)
+            });
             assert_eq!(
                 format!("{plain:?}"),
                 format!("{forensic:?}"),
@@ -168,14 +175,17 @@ fn forensic_serve_is_report_identical() {
             &schedule,
             ExecTier::default(),
         );
-        let (forensic, _rec, _first) = serve_forensic(
-            ServerApp::Memcached,
-            scheme,
-            &policies,
-            &schedule,
-            ExecTier::default(),
-            DEFAULT_TRACE_WINDOW,
-        );
+        let ((forensic, _first), _rec) =
+            recorded(LedgerRecorder::new(DEFAULT_TRACE_WINDOW), |rec| {
+                serve_traced(
+                    ServerApp::Memcached,
+                    scheme,
+                    &policies,
+                    &schedule,
+                    ExecTier::default(),
+                    rec,
+                )
+            });
         assert_eq!(
             format!("{plain:?}"),
             format!("{forensic:?}"),

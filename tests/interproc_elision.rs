@@ -59,14 +59,7 @@ fn interprocedural_tier_dominates_intraprocedural_on_fig10_modules() {
 
 #[test]
 fn interprocedural_elision_preserves_fig10_results() {
-    let off = SbConfig {
-        safe_access_opt: false,
-        hoist_opt: false,
-        boundless: false,
-        narrow_bounds: false,
-        site_markers: false,
-        flow_elide: false,
-    };
+    let off = SbConfig::UNOPTIMIZED;
     let flow = SbConfig {
         flow_elide: true,
         ..SbConfig::default()

@@ -7,19 +7,18 @@
 //! still do not move — only the event stream grows.
 
 use sgxbounds::SbConfig;
+use sgxs_baselines::{Protection, Setup};
 use sgxs_fuzz::gen;
 use sgxs_harness::cli::run_suite;
 use sgxs_harness::Effort;
 use sgxs_metrics::SpanCollector;
-use sgxs_mir::{verify, Vm, VmConfig};
 use sgxs_obs::json::Json;
 use sgxs_resil::{
     abort_policy, boundless_policy, graceful_policy, retry_policy, run_chaos_campaign, serve_tier,
     serve_traced, CampaignOpts, ChaosSchedule, PolicySet, RScheme, ServerApp,
 };
-use sgxs_rt::{install_base, AllocOpts};
 use sgxs_sim::obs::TraceRecorder;
-use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
+use sgxs_sim::{ExecTier, Preset};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -33,25 +32,22 @@ type Observables = (Result<u64, String>, u64, u64, String, u64, u64);
 fn run_program(seed: u64, trace: bool, spans: bool) -> (Observables, String) {
     let prog = gen::generate(seed, 300);
     let mut module = gen::build(&prog);
-    let cfg = SbConfig {
-        site_markers: true,
-        ..SbConfig::default()
-    };
-    sgxbounds::instrument(&mut module, &cfg).expect("instrumentation");
-    verify(&module).expect("module verifies");
-    let mut vm_cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-    vm_cfg.max_instructions = 4_000_000;
-    let mut vm = Vm::new(&module, vm_cfg);
     // Large ring so nothing evicts: the span-filtered comparison below
     // needs the complete event stream.
     let rec = Rc::new(RefCell::new(TraceRecorder::new(1 << 20)));
+    let mut setup = Setup {
+        site_markers: true,
+        ..Setup::tiny(ExecTier::Reference)
+    };
+    setup.vm.max_instructions = 4_000_000;
     if trace {
-        vm.machine.set_recorder(Some(rec.clone()));
-        vm.machine.set_span_mode(spans);
+        setup.recorder = Some(rec.clone());
+        setup.spans = spans;
     }
-    let heap = install_base(&mut vm, AllocOpts::default());
-    sgxbounds::install_sgxbounds(&mut vm, heap, &cfg, None);
-    let out = vm.run("main", &[]);
+    let mut run = Protection::SgxBounds(SbConfig::default())
+        .launch(&mut module, setup)
+        .expect("launch");
+    let out = run.vm.run("main", &[]);
     let obs = (
         out.result.map_err(|t| t.to_string()),
         out.wall_cycles,
@@ -129,7 +125,7 @@ fn traced_serve_is_report_identical_for_every_combo() {
             ExecTier::default(),
         );
         let collector = Rc::new(RefCell::new(SpanCollector::default()));
-        let traced = serve_traced(
+        let (traced, _) = serve_traced(
             ServerApp::Memcached,
             *scheme,
             policies,

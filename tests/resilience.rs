@@ -12,10 +12,11 @@
 //!    recorded benchmark number stays byte-identical.
 
 use sgxbounds::SbConfig;
-use sgxs_mir::{verify, PolicySet, RecoveryPolicy, Vm, VmConfig};
+use sgxs_baselines::{Protection, Setup};
+use sgxs_mir::{PolicySet, RecoveryPolicy};
 use sgxs_resil::{run_chaos_campaign, CampaignOpts};
-use sgxs_rt::{install_base, AllocOpts, Stager};
-use sgxs_sim::{MachineConfig, Mode, Preset};
+use sgxs_rt::Stager;
+use sgxs_sim::ExecTier;
 use sgxs_workloads::apps::nginx;
 use sgxs_workloads::apps::server::INPUT_BYTES;
 
@@ -72,13 +73,12 @@ fn chaos_campaign_separates_fail_stop_from_boundless_availability() {
 /// SGXBounds; returns per-request (digest, wall_cycles, instructions).
 fn run_server(requests: u32, recovery: Option<PolicySet>) -> Vec<(u64, u64, u64)> {
     let mut module = nginx::server_module();
-    sgxbounds::instrument(&mut module, &SbConfig::default()).expect("instrumentation");
-    verify(&module).expect("module verifies");
-    let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-    cfg.max_instructions = 500_000_000;
-    let mut vm = Vm::new(&module, cfg);
-    let heap = install_base(&mut vm, AllocOpts::default());
-    sgxbounds::install_sgxbounds(&mut vm, heap, &SbConfig::default(), None);
+    let mut setup = Setup::tiny(ExecTier::Reference);
+    setup.vm.max_instructions = 500_000_000;
+    let mut vm = Protection::SgxBounds(SbConfig::default())
+        .launch(&mut module, setup)
+        .expect("launch")
+        .vm;
     if let Some(p) = recovery {
         vm.set_recovery(p);
     }
@@ -121,7 +121,6 @@ fn abort_recovery_policy_is_cycle_for_cycle_free() {
 fn recovery_event_streams_are_identical_across_tiers() {
     use sgxs_resil::serve::{boundless_policy, retry_policy};
     use sgxs_resil::{serve_tier, ChaosSchedule, RScheme, ServerApp};
-    use sgxs_sim::ExecTier;
 
     let cases = [
         (RScheme::SgxBounds, "retry", retry_policy()),

@@ -6,15 +6,23 @@
 //! repository-level acceptance gates.
 
 use sgxbounds::SbConfig;
-use sgxs_fuzz::runner::{exec_chaos_tier, exec_tier, ALL_SCHEMES};
+use sgxs_baselines::{Protection, Setup};
+use sgxs_fuzz::runner::{exec_with, ExecOpts, ALL_SCHEMES};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
-use sgxs_mir::{verify, Vm, VmConfig};
+use sgxs_harness::exp::{tab04, DEFAULT_SEED};
+use sgxs_harness::scheme::set_default_tier;
 use sgxs_resil::{run_chaos_campaign, CampaignOpts};
-use sgxs_rt::{install_base, AllocOpts};
 use sgxs_sim::obs::TraceRecorder;
-use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
+use sgxs_sim::{ExecTier, Preset};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// SGXBounds on the Tiny enclave machine with the fuzz runner's budget.
+fn sb_setup(tier: ExecTier) -> Setup {
+    let mut setup = Setup::tiny(tier);
+    setup.vm.max_instructions = 4_000_000;
+    setup
+}
 
 fn corpus() -> Vec<CorpusEntry> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fuzz_seeds.txt");
@@ -34,8 +42,8 @@ fn corpus_is_bit_identical_across_tiers() {
             Some(kind) => inject::inject(&prog, kind, entry.seed).0,
         };
         for scheme in ALL_SCHEMES {
-            let r = exec_tier(&prog, scheme, ExecTier::Reference);
-            let c = exec_tier(&prog, scheme, ExecTier::Compiled);
+            let r = exec_with(&prog, scheme, &ExecOpts::on(ExecTier::Reference));
+            let c = exec_with(&prog, scheme, &ExecOpts::on(ExecTier::Compiled));
             assert_eq!(
                 format!("{r:?}"),
                 format!("{c:?}"),
@@ -58,21 +66,17 @@ fn corpus_stats_cycles_and_obs_events_are_identical() {
             None => prog,
             Some(kind) => inject::inject(&prog, kind, entry.seed).0,
         };
-        let mut module = gen::build(&prog);
-        sgxbounds::instrument(&mut module, &SbConfig::default()).expect("instrumentation");
-        verify(&module).expect("module verifies");
-        let run = |compiled: bool| {
-            let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-            cfg.max_instructions = 4_000_000;
-            let mut vm = Vm::new(&module, cfg);
+        let run = |tier: ExecTier| {
+            let mut module = gen::build(&prog);
             let rec = Rc::new(RefCell::new(TraceRecorder::new(128)));
-            vm.machine.set_recorder(Some(rec.clone()));
-            let heap = install_base(&mut vm, AllocOpts::default());
-            sgxbounds::install_sgxbounds(&mut vm, heap, &SbConfig::default(), None);
-            if compiled {
-                sgxs_exec::attach(&mut vm);
-            }
-            let out = vm.run("main", &[]);
+            let setup = Setup {
+                recorder: Some(rec.clone()),
+                ..sb_setup(tier)
+            };
+            let mut run = Protection::SgxBounds(SbConfig::default())
+                .launch(&mut module, setup)
+                .expect("launch");
+            let out = run.vm.run("main", &[]);
             let (digest, events) = (rec.borrow().digest(), rec.borrow().events());
             (
                 out.result.map_err(|t| t.to_string()),
@@ -86,8 +90,8 @@ fn corpus_stats_cycles_and_obs_events_are_identical() {
             )
         };
         assert_eq!(
-            run(false),
-            run(true),
+            run(ExecTier::Reference),
+            run(ExecTier::Compiled),
             "corpus entry '{}' full observables diverged",
             entry.to_line()
         );
@@ -102,8 +106,12 @@ fn chaos_mode_is_bit_identical_across_tiers() {
         let prog = gen::generate(seed, 12);
         let chaos_seed = seed.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(1);
         for scheme in ALL_SCHEMES {
-            let r = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Reference);
-            let c = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Compiled);
+            let chaos = |tier| ExecOpts {
+                chaos_seed: Some(chaos_seed),
+                ..ExecOpts::on(tier)
+            };
+            let r = exec_with(&prog, scheme, &chaos(ExecTier::Reference));
+            let c = exec_with(&prog, scheme, &chaos(ExecTier::Compiled));
             assert_eq!(
                 format!("{r:?}"),
                 format!("{c:?}"),
@@ -145,22 +153,44 @@ fn chaos_campaign_document_is_byte_identical_across_tiers() {
 #[test]
 fn perturbed_engine_diverges_on_corpus_programs() {
     let prog = gen::generate(11, 20);
-    let mut module = gen::build(&prog);
-    sgxbounds::instrument(&mut module, &SbConfig::default()).expect("instrumentation");
-    verify(&module).expect("module verifies");
-    let run = |mode: u8| {
-        let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-        cfg.max_instructions = 4_000_000;
-        let mut vm = Vm::new(&module, cfg);
-        let heap = install_base(&mut vm, AllocOpts::default());
-        sgxbounds::install_sgxbounds(&mut vm, heap, &SbConfig::default(), None);
-        match mode {
-            1 => sgxs_exec::attach(&mut vm),
-            2 => sgxs_exec::attach_perturbed(&mut vm),
-            _ => {}
-        }
-        vm.run("main", &[]).wall_cycles
+    let run = |tier: ExecTier, perturb: bool| {
+        let mut module = gen::build(&prog);
+        let setup = Setup {
+            perturb,
+            ..sb_setup(tier)
+        };
+        let mut run = Protection::SgxBounds(SbConfig::default())
+            .launch(&mut module, setup)
+            .expect("launch");
+        run.vm.run("main", &[]).wall_cycles
     };
-    assert_eq!(run(0), run(1), "clean compiled tier must agree");
-    assert_ne!(run(0), run(2), "perturbed tier must trip the oracle");
+    let reference = run(ExecTier::Reference, false);
+    assert_eq!(
+        reference,
+        run(ExecTier::Compiled, false),
+        "clean compiled tier must agree"
+    );
+    assert_ne!(
+        reference,
+        run(ExecTier::Reference, true),
+        "perturbed tier must trip the oracle"
+    );
+}
+
+/// Table 4 (the RIPE matrix) honours the execution tier and is
+/// outcome-identical on both: `repro all --tier compiled` must reproduce
+/// the reference `table4` entry of `results/bench.json`.
+#[test]
+fn table4_is_identical_across_tiers() {
+    let matrix = |tier| {
+        set_default_tier(tier);
+        let t = tab04::run(Preset::Tiny, DEFAULT_SEED);
+        set_default_tier(ExecTier::Reference);
+        t.to_json().to_pretty()
+    };
+    assert_eq!(
+        matrix(ExecTier::Reference),
+        matrix(ExecTier::Compiled),
+        "table4 diverged across tiers"
+    );
 }
